@@ -277,8 +277,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     lines = [
         f"objective (block-swap defect): {result.objective:.6f}",
         f"worst constraint residual: {result.worst_constraint_residual:.3e}",
-        f"winning restart: {result.seed_used} (seed {args.seed}); "
-        f"{result.iterations} optimizer iterations",
+        f"winning restart: {result.restart} (seed {args.seed}); "
+        f"{result.iterations} L-BFGS-B iterations, "
+        f"{result.evaluations} objective and Jacobian evaluations",
     ]
     if args.output:
         lines.append(f"instance written to {args.output}")

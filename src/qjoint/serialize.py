@@ -235,7 +235,8 @@ def search_result_to_wire(res: SearchResult) -> dict:
         "objective": float(res.objective),
         "worst_constraint_residual": float(res.worst_constraint_residual),
         "iterations": int(res.iterations),
-        "seed_used": int(res.seed_used),
+        "evaluations": int(res.evaluations),
+        "restart": int(res.restart),
     }
 
 

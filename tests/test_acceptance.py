@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import qjoint as q
 from qjoint.cli import main
@@ -178,8 +179,9 @@ def test_pairwise_permutable_but_not_jointly(tmp_path, capsys):
     assert elapsed < 10.0
 
 
-def test_search_recovers_an_instance():
-    """From a committed regression seed, the dim-8 rank-(1,2,3,2) search
+@pytest.mark.parametrize("seed", REGRESSION_SEEDS)
+def test_search_recovers_an_instance(seed):
+    """From every committed regression seed, the dim-8 rank-(1,2,3,2) search
     returns a verified instance with objective >= 0.1 and constraint
     residuals <= 1e-7 within 10 min."""
     start = time.perf_counter()
@@ -187,7 +189,7 @@ def test_search_recovers_an_instance():
         dim=8,
         n_projectors=4,
         ranks=(1, 2, 3, 2),
-        seed=REGRESSION_SEEDS[0],
+        seed=seed,
         restarts=1,
         constraint_tol=1e-7,
     )

@@ -211,6 +211,20 @@ def test_search_infeasible_exit_code(capsys):
     assert "NoFeasiblePointFound" in err
 
 
+def test_search_reports_restart_and_work_counts(capsys):
+    """Dim 4, seed 2 is the smallest case seen to find an instance."""
+    args = ["search", "--dim", "4", "--seed", "2", "--restarts", "1"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "winning restart: 0 (seed 2)" in out
+    assert "L-BFGS-B iterations" in out
+    assert main(args + ["--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["restart"] == 0
+    assert 0 < result["iterations"] < result["evaluations"]
+    assert "seed_used" not in result
+
+
 def test_search_bad_configuration():
     assert main(["search", "--restarts", "0"]) == 1
     assert main(["search", "--ranks", "1,x"]) == 1

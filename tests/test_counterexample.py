@@ -2,15 +2,23 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qjoint as q
 from qjoint import errors
 from qjoint.counterexample import (
     REGRESSION_SEEDS,
+    _constraint_residuals,
+    _penalized,
+    _projector_and_tangents,
+    _search_terms,
+    _unpack,
     block_swap_defect,
     parametrize_projector,
     permutation_defect_spectrum,
 )
+from qjoint.linalg import haar_unitary
 from qjoint.serialize import canonical_dumps, instance_to_wire
 
 
@@ -129,6 +137,104 @@ def test_parametrize_projector_always_valid(dim, rank):
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.abs(p - p.conj().T).max() < 1e-13
         assert float(np.trace(p).real) == pytest.approx(rank, abs=1e-10)
+
+
+def _central_differences(fn, x, h=1e-6):
+    """Central differences of ``fn`` along every coordinate, as the last axis."""
+    return np.stack([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(x.size)], axis=-1)
+
+
+def _assert_matches(analytic, reference):
+    """Within 1e-6 relative, with a 1e-8 floor for the finite differences'
+    rounding where the reference vanishes."""
+    error = float(np.linalg.norm(analytic - reference))
+    assert error <= 1e-6 * float(np.linalg.norm(reference)) + 1e-8
+
+
+def _assert_search_derivatives_match(x, config, weight=1.0):
+    """Penalized gradient and residual Jacobian against central differences of
+    the value path (``_unpack`` + ``_constraint_residuals``), to 1e-6 relative."""
+
+    def penalized_reference(xv):
+        phi, ps = _unpack(xv, config)[:2]
+        c = _constraint_residuals(phi, ps)
+        return -block_swap_defect(ps, phi) ** 2 + weight * float(c @ c)
+
+    def residuals_reference(xv):
+        return _constraint_residuals(*_unpack(xv, config)[:2])
+
+    value, grad = _penalized(x, weight, config)
+    _, _, residuals, jac = _search_terms(x, config)
+    assert value == penalized_reference(x)
+    assert np.array_equal(residuals, residuals_reference(x))
+    _assert_matches(grad, _central_differences(penalized_reference, x))
+    _assert_matches(jac, _central_differences(residuals_reference, x))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "dim,ranks", [(3, (1, 2, 1, 2)), (4, (1, 2, 3, 2)), (8, (1, 2, 3, 2))]
+)
+def test_search_derivatives_match_central_differences(dim, ranks, seed):
+    config = q.SearchConfig(dim=dim, ranks=ranks)
+    x = np.random.default_rng(seed).standard_normal(2 * dim + 4 * dim * dim)
+    _assert_search_derivatives_match(x, config)
+
+
+@pytest.mark.parametrize("zero_blocks", [(0, 1, 2, 3), (0, 2)])
+def test_search_derivatives_at_degenerate_generators(zero_blocks):
+    """All-zero generators, where every eigenvalue of H coincides.  With all
+    four zero the projectors commute and the gradient vanishes, so the
+    second case keeps two random generators to give it a nonzero value."""
+    dim = 4
+    x = np.random.default_rng(3).standard_normal(2 * dim + 4 * dim * dim)
+    for k in zero_blocks:
+        x[2 * dim + k * dim * dim : 2 * dim + (k + 1) * dim * dim] = 0.0
+    _assert_search_derivatives_match(x, q.SearchConfig(dim=dim))
+
+
+def _pack_generator(h):
+    rows, cols = np.triu_indices(h.shape[0], 1)
+    return np.concatenate([h.diagonal().real, h[rows, cols].real, h[rows, cols].imag])
+
+
+def test_search_derivatives_at_near_degenerate_generators():
+    """Generators with two eigenvalues 1e-9 apart."""
+    rng = np.random.default_rng(4)
+    dim = 4
+    blocks = []
+    for _ in range(4):
+        u = haar_unitary(dim, rng)
+        h = u @ np.diag([0.3, 0.3 + 1e-9, -0.8, 1.1]) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        gap = np.diff(np.linalg.eigvalsh(h))
+        assert gap.min() == pytest.approx(1e-9, rel=1e-3)
+        blocks.append(_pack_generator(h))
+    x = np.concatenate([rng.standard_normal(2 * dim), *blocks])
+    _assert_search_derivatives_match(x, q.SearchConfig(dim=dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    rank_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 4.0),
+)
+def test_projector_tangent_matches_finite_difference(dim, rank_frac, seed, scale):
+    rank = 1 + min(dim - 1, int(rank_frac * dim))
+    rng = np.random.default_rng(seed)
+    params = scale * rng.standard_normal(dim * dim)
+    direction = rng.standard_normal(dim * dim)
+    direction /= np.linalg.norm(direction)
+    p, dp = _projector_and_tangents(params, dim, rank)
+    assert np.array_equal(p, parametrize_projector(params, dim, rank))
+    h = 1e-6
+    fd = (
+        parametrize_projector(params + h * direction, dim, rank)
+        - parametrize_projector(params - h * direction, dim, rank)
+    ) / (2 * h)
+    _assert_matches(np.tensordot(direction, dp, axes=1), fd)
 
 
 def test_search_config_validation():

@@ -160,12 +160,15 @@ def test_search_result_wire(appendix):
         objective=0.25,
         worst_constraint_residual=1e-9,
         iterations=10,
-        seed_used=0,
+        evaluations=25,
+        restart=3,
     )
     wire = json.loads(canonical_dumps(search_result_to_wire(fake)))
     assert wire["objective"] == 0.25
     assert wire["instance"]["dim"] == 8
-    assert wire["seed_used"] == 0
+    assert wire["iterations"] == 10
+    assert wire["evaluations"] == 25
+    assert wire["restart"] == 3
 
 
 def test_load_json_file(tmp_path):
