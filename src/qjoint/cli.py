@@ -5,8 +5,7 @@ suite on a family or instance file), ``jordan`` and ``repair`` (two-projector
 decomposition and commuting replacement), ``search`` (seeded instance
 search).  Every run is deterministic given its flags and seed; JSON output is
 canonical, with timing isolated in the manifest.  Exit codes: 0 success,
-1 usage or input error, 2 semantic failure.  The QJOINT_THREADS environment
-variable caps worker threads for search restarts.
+1 usage or input error, 2 semantic failure.
 """
 
 from __future__ import annotations

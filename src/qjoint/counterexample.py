@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -648,16 +646,9 @@ def search(config: SearchConfig) -> SearchResult:
     with a least-squares step.  A restart counts only if its worst pairwise
     residual is at most ``constraint_tol`` while the defect exceeds ten times
     that, and the winning instance must re-verify before being returned.
-    Worker count for restarts is capped by the QJOINT_THREADS variable
-    (default 1); the merge is order-independent.
+    Restarts run one after another.
     """
-    workers = max(1, int(os.environ.get("QJOINT_THREADS", "1")))
-    indices = list(range(config.restarts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _run_restart(config, r), indices))
-    else:
-        outcomes = [_run_restart(config, r) for r in indices]
+    outcomes = [_run_restart(config, r) for r in range(config.restarts)]
 
     total_iterations = sum(o["iterations"] for o in outcomes)
     total_evaluations = sum(o["evaluations"] for o in outcomes)

@@ -9,7 +9,10 @@ the functional axioms and the on-state projector condition, each produce a
 Quantifiers over post-measurement states use the orbit set: all normalized
 states reachable from the state family by sequences of measurements over
 subsets of a given index set, with zero-probability branches skipped and
-near-duplicate states (trace distance below tolerance) merged.
+near-duplicate states (trace distance below tolerance) merged.  The checks of
+one :func:`run_property_checks` call share one orbit engine: each orbit is
+enumerated once, and each check is a few batched contractions of operator
+stacks against orbit (or state) stacks.
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ from .linalg import (
     trace_inner,
 )
 from .measurement import MeasurementFamily, check_index_set, check_outcome_tuple
-from .permutation import (
-    WITNESS_CAP,
-    _WorstTracker,
-    is_fully_permutable,
-)
+from .permutation import is_fully_permutable
+from .reporting import WITNESS_CAP, WorstTracker
 
 __all__ = [
     "StateFamily",
@@ -97,10 +97,9 @@ class StateFamily:
 
 @dataclass
 class OrbitSpec:
-    """Which measurement indices may act, and a cap on partition block count."""
+    """Which measurement indices may act."""
 
     u: tuple[int, ...]
-    max_partition_blocks: int | None = None
 
 
 @dataclass
@@ -208,26 +207,120 @@ def _unordered_partitions(items: tuple[int, ...]):
             yield sub[:k] + (grown,) + sub[k + 1 :]
 
 
-def _canonical_partitions(items: tuple[int, ...], max_blocks: int | None = None):
+def _canonical_partitions(items: tuple[int, ...]):
     """Unordered partitions in a canonical, deterministic order."""
-    seen = set()
-    out = []
-    for p in _unordered_partitions(items):
-        blocks = tuple(sorted(p, key=lambda b: b[0]))
-        if blocks in seen:
-            continue
-        seen.add(blocks)
-        if max_blocks is None or len(blocks) <= max_blocks:
-            out.append(blocks)
-    out.sort(key=lambda blocks: (len(blocks), blocks))
-    return out
+    out = {tuple(sorted(p, key=lambda b: b[0])) for p in _unordered_partitions(items)}
+    return sorted(out, key=lambda blocks: (len(blocks), blocks))
 
 
-def _ordered_partitions(items: tuple[int, ...], max_blocks: int | None = None):
+def _ordered_partitions(items: tuple[int, ...]):
     """Every ordered partition: canonical unordered partitions, then block orderings."""
-    for blocks in _canonical_partitions(items, max_blocks):
+    for blocks in _canonical_partitions(items):
         for order in itertools.permutations(range(len(blocks))):
             yield tuple(blocks[k] for k in order)
+
+
+def _subsets(indices: tuple[int, ...], include_full: bool = True):
+    top = len(indices) if include_full else len(indices) - 1
+    for size in range(0, top + 1):
+        yield from itertools.combinations(indices, size)
+
+
+class _OrbitEngine:
+    """Orbit sets and operator stacks for one family, state family and tolerances.
+
+    One engine serves every check of a :func:`run_property_checks` call.  A
+    branch's unnormalized ``R rho R†`` extends its prefix's product, each
+    orbit is enumerated once per index set, and ``Q_[N]^x`` is stacked once.
+    """
+
+    def __init__(self, family, f, prob_tol=TAU_PROB, dedup_tol=CHECK_TOL, max_branches=MAX_BRANCHES):
+        self.family, self.f = family, f
+        self.prob_tol, self.dedup_tol, self.max_branches = prob_tol, dedup_tol, max_branches
+        self.cache = _FamilyCache(family)
+        self.outs = list(family.outcome_tuples(family.indices))
+        self.q_full = np.stack([self.cache.full_q(x) for x in self.outs])
+        self.f_stack = np.stack(f.states)
+        self._branches: dict = {}
+        self._orbits: dict = {}
+        self._matches: dict = {}
+
+    def orbit(self, u: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+        """The orbit over ``u`` as a (K, d, d) stack, with its work counts."""
+        if u not in self._orbits:
+            self._orbits[u] = self._enumerate(u)
+        return self._orbits[u]
+
+    def match(self, s: tuple[int, ...]) -> tuple[list, np.ndarray]:
+        """The outcome tuples y of ``s``, and for each full tuple x the index of x_S among them."""
+        if s not in self._matches:
+            ys = list(self.family.outcome_tuples(s))
+            at = {y: k for k, y in enumerate(ys)}
+            self._matches[s] = ys, np.array([at[tuple(x[i - 1] for i in s)] for x in self.outs])
+        return self._matches[s]
+
+    def conj(self, s: tuple[int, ...], yi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """R_S^y† Q_[N]^x R_S^y for each pair (y, x) = (ys[yi[k]], outs[xi[k]]), stacked."""
+        roots = np.stack([self.cache.root(s, y) for y in self.match(s)[0]])[yi]
+        return np.swapaxes(roots.conj(), 1, 2) @ self.q_full[xi] @ roots
+
+    def _branch(self, blocks, ys, sid) -> np.ndarray | None:
+        """One branch's unnormalized R rho R†, or None once its probability is dead."""
+        key = (blocks, ys, sid)
+        if key not in self._branches:
+            rho = self.f.states[sid] if len(blocks) == 1 else self._branch(blocks[:-1], ys[:-1], sid)
+            if rho is not None:
+                r = self.cache.root(blocks[-1], ys[-1])
+                rho = r @ rho @ r.conj().T
+                rho = rho if float(np.trace(rho).real) > self.prob_tol else None
+            self._branches[key] = rho
+        return self._branches[key]
+
+    def _enumerate(self, u: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+        family, states, tol = self.family, self.f.states, self.dedup_tol
+        if family.dim > MAX_DIM:
+            raise CombinatorialLimitExceeded(f"dimension {family.dim} exceeds cap {MAX_DIM}")
+        sqrt_d = np.sqrt(family.dim)
+        buf = np.empty((4 * len(states), family.dim, family.dim), dtype=complex)
+        kept = 0
+        counts = {"branches": 0, "dead_branches": 0, "dedup_merges": 0}
+
+        def keep(rho: np.ndarray) -> None:
+            # Greedy dedup by trace distance; sqrt(d)·‖a−b‖_F/2 bounds it from
+            # above (a sure duplicate) and ‖a−b‖_F/2 from below.
+            nonlocal buf, kept
+            if kept:
+                diffs = np.linalg.norm(buf[:kept] - rho, axis=(1, 2))
+                if (sqrt_d * diffs / 2.0 < tol).any() or any(
+                    trace_distance(buf[k], rho) < tol
+                    for k in np.flatnonzero(diffs / 2.0 < tol * sqrt_d)
+                ):
+                    counts["dedup_merges"] += 1
+                    return
+            if kept == len(buf):
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[kept] = rho
+            kept += 1
+
+        for psi in states:
+            keep((psi + psi.conj().T) / 2.0)
+        for size in range(1, len(u) + 1):
+            for t_set in itertools.combinations(u, size):
+                for blocks in _ordered_partitions(t_set):
+                    for ys in itertools.product(*(family.outcome_tuples(b) for b in blocks)):
+                        for sid in range(len(states)):
+                            counts["branches"] += 1
+                            if counts["branches"] > self.max_branches:
+                                raise CombinatorialLimitExceeded(
+                                    f"orbit enumeration exceeded {self.max_branches} branches"
+                                )
+                            rho = self._branch(blocks, ys, sid)
+                            if rho is None:
+                                counts["dead_branches"] += 1
+                            else:
+                                rho = rho / float(np.trace(rho).real)
+                                keep((rho + rho.conj().T) / 2.0)
+        return buf[:kept].copy(), counts
 
 
 def orbit_states(
@@ -237,75 +330,25 @@ def orbit_states(
     prob_tol: float = TAU_PROB,
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
+    _orbits: _OrbitEngine | None = None,
 ) -> list[np.ndarray]:
     """All normalized post-measurement states reachable over subsets of ``spec.u``.
 
     Enumerates every subset T of u, every ordered partition of T, and every
     outcome assignment; skips branches whose probability falls to ``prob_tol``
-    or below; deduplicates states closer than ``dedup_tol`` in trace distance.
-    The empty subset contributes the family itself.
+    or below; deduplicates states closer than ``dedup_tol`` in trace distance,
+    keeping the first of each in that order.  The empty subset contributes the
+    family itself.  ``_orbits`` is an engine built for the same arguments,
+    whose memo then serves the call.
     """
     if not isinstance(spec, OrbitSpec):
         spec = OrbitSpec(u=tuple(spec))
     u = check_index_set(spec.u, family.n)
-    if family.dim > MAX_DIM:
-        raise CombinatorialLimitExceeded(f"dimension {family.dim} exceeds cap {MAX_DIM}")
-    cache = _FamilyCache(family)
-    kept: list[np.ndarray] = []
-    kept_stack: np.ndarray | None = None
-
-    def keep(rho: np.ndarray) -> None:
-        nonlocal kept_stack
-        if kept:
-            diffs = np.linalg.norm(kept_stack - rho[None, :, :], axis=(1, 2))
-            near = np.nonzero(diffs / 2.0 < dedup_tol * np.sqrt(family.dim))[0]
-            for k in near:
-                if trace_distance(kept[k], rho) < dedup_tol:
-                    return
-        kept.append(rho)
-        kept_stack = np.stack(kept)
-
-    branches = 0
-    for psi in f.states:
-        keep((psi + psi.conj().T) / 2.0)
-    for size in range(1, len(u) + 1):
-        for t_set in itertools.combinations(u, size):
-            for blocks in _ordered_partitions(t_set, spec.max_partition_blocks):
-                outcome_spaces = [list(family.outcome_tuples(b)) for b in blocks]
-                for ys in itertools.product(*outcome_spaces):
-                    for psi in f.states:
-                        branches += 1
-                        if branches > max_branches:
-                            raise CombinatorialLimitExceeded(
-                                f"orbit enumeration exceeded {max_branches} branches"
-                            )
-                        rho = psi
-                        dead = False
-                        for b, y in zip(blocks, ys):
-                            r = cache.root(b, y)
-                            rho = r @ rho @ r.conj().T
-                            if float(np.trace(rho).real) <= prob_tol:
-                                dead = True
-                                break
-                        if dead:
-                            continue
-                        rho = rho / float(np.trace(rho).real)
-                        keep((rho + rho.conj().T) / 2.0)
-    return kept
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    return list(engine.orbit(u)[0])
 
 
-def _subsets(indices: tuple[int, ...], include_full: bool = True):
-    top = len(indices) if include_full else len(indices) - 1
-    for size in range(0, top + 1):
-        yield from itertools.combinations(indices, size)
-
-
-def _restrict(x: tuple[int, ...], full: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    pos = {i: k for k, i in enumerate(full)}
-    return tuple(x[pos[i]] for i in s)
-
-
-def _report(name: str, tracker: _WorstTracker, tol: float, details: dict | None = None) -> PropertyReport:
+def _report(name: str, tracker: WorstTracker, tol: float, details: dict | None = None) -> PropertyReport:
     return PropertyReport(
         property_name=name,
         worst_residual=tracker.worst,
@@ -324,36 +367,50 @@ def _check_prereq(marginals_report: PropertyReport | None, dependent: str) -> No
         )
 
 
+def _pair_witness(kind: str, s, ys, yi, outs, xi, n: int):
+    """Witness k of residuals shaped (pair p, state): y = ys[yi[p]], x = outs[xi[p]]."""
+    return lambda k: {
+        "kind": kind, "state": k % n, "s": list(s), "y": list(ys[yi[k // n]]), "x": list(outs[xi[k // n]]),
+    }
+
+
+_LAMBDAS = (0.25, 0.5, 0.75)
+
+
 def check_functional_axioms(
-    family: MeasurementFamily, f: StateFamily, tol: float = CHECK_TOL
+    family: MeasurementFamily,
+    f: StateFamily,
+    tol: float = CHECK_TOL,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Normalization (operator level), linearity spot-checks, non-negativity."""
-    cache = _FamilyCache(family)
-    tracker = _WorstTracker(tol * family.dim)
-    total = np.zeros((family.dim, family.dim), dtype=complex)
-    outs = list(family.outcome_tuples(family.indices))
-    for x in outs:
-        total += cache.full_q(x)
-    norm_res = float(np.abs(total - np.eye(family.dim)).max())
+    engine = _orbits or _OrbitEngine(family, f)
+    outs, states = engine.outs, engine.f_stack
+    tracker = WorstTracker(tol * family.dim)
+    norm_res = float(np.abs(engine.q_full.sum(axis=0) - np.eye(family.dim)).max())
     tracker.add(norm_res, {"kind": "normalization"})
-    lin_tracker = _WorstTracker(tol)
-    for a in range(len(f.states)):
-        b = (a + 1) % len(f.states)
-        for lam in (0.25, 0.5, 0.75):
-            mix = lam * f.states[a] + (1 - lam) * f.states[b]
-            for x in outs:
-                lhs = w_functional(family, mix, x, _cache=cache)
-                rhs = lam * w_functional(family, f.states[a], x, _cache=cache) + (
-                    1 - lam
-                ) * w_functional(family, f.states[b], x, _cache=cache)
-                lin_tracker.add(
-                    abs(lhs - rhs), {"kind": "linearity", "states": [a, b], "lambda": lam}
-                )
-    neg_tracker = _WorstTracker(tol)
-    for sid, psi in enumerate(f.states):
-        for x in outs:
-            v = w_functional(family, psi, x, _cache=cache)
-            neg_tracker.add(max(0.0, -v), {"kind": "non_negativity", "state": sid, "x": list(x)})
+    # Mix each state with the next one (cyclically) at each lambda.
+    nxt = [(a + 1) % len(states) for a in range(len(states))]
+    lam = np.array(_LAMBDAS)[None, :, None]
+    mixes = lam[..., None] * states[:, None] + (1 - lam[..., None]) * states[nxt][:, None]
+    w = trace_inner(states, engine.q_full)
+    lhs = trace_inner(mixes, engine.q_full)
+    rhs = lam * w[:, None, :] + (1 - lam) * w[nxt][:, None, :]
+    lin_tracker = WorstTracker(tol)
+    per_state = len(_LAMBDAS) * len(outs)
+    lin_tracker.add_array(
+        np.abs(lhs - rhs),
+        lambda k: {
+            "kind": "linearity",
+            "states": [k // per_state, nxt[k // per_state]],
+            "lambda": _LAMBDAS[k // len(outs) % len(_LAMBDAS)],
+        },
+    )
+    neg_tracker = WorstTracker(tol)
+    neg_tracker.add_array(
+        np.maximum(0.0, -w),
+        lambda k: {"kind": "non_negativity", "state": k // len(outs), "x": list(outs[k % len(outs)])},
+    )
     worst = max(tracker.worst, lin_tracker.worst, neg_tracker.worst)
     passed = (
         tracker.worst <= tol * family.dim
@@ -378,18 +435,21 @@ def check_marginals(
     prob_tol: float = TAU_PROB,
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Summing W over the complement of S must reproduce Tr(Q_S^y rho).
 
     Quantified over all S and every state in the orbit over the full index
     set.  For singleton S the sequenced marginal operator is additionally
-    compared entrywise against the original measurement element.
+    compared entrywise against the original measurement element.  The
+    details count the orbit's branches, dead branches and dedup merges.
     """
-    cache = _FamilyCache(family)
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    cache = engine.cache
     full = family.indices
-    orbit = orbit_states(family, full, f, prob_tol, dedup_tol, max_branches)
-    tracker = _WorstTracker(tol)
-    outs = list(family.outcome_tuples(full))
+    orbit = orbit_states(family, full, f, prob_tol, dedup_tol, max_branches, _orbits=engine)
+    stack, counts = engine.orbit(full)
+    tracker = WorstTracker(tol)
     op_worst = 0.0
     for i in full:
         for x in family.povm(i).outcomes:
@@ -399,21 +459,27 @@ def check_marginals(
                 dev if dev > family.dim * tol else 0.0,
                 {"kind": "marginal_operator", "index": i, "outcome": x},
             )
-    for rid, rho in enumerate(orbit):
-        table = {x: trace_inner(cache.full_q(x), rho) for x in outs}
-        for s in _subsets(full):
-            for y in family.outcome_tuples(s):
-                lhs = sum(table[x] for x in outs if _restrict(x, full, s) == y)
-                rhs = trace_inner(cache.q(s, y), rho)
-                tracker.add(
-                    abs(lhs - rhs),
-                    {"kind": "marginal_sum", "state": rid, "s": list(s), "y": list(y)},
-                )
+    # One (S, y) pair per column: Q_S^y, and the 0/1 row of the x with x_S = y.
+    pairs, qs, restrict = [], [], []
+    for s in _subsets(full):
+        ys, match = engine.match(s)
+        for k, y in enumerate(ys):
+            pairs.append((s, y))
+            qs.append(cache.q(s, y))
+            restrict.append(match == k)
+    lhs = trace_inner(stack, engine.q_full) @ np.array(restrict, dtype=float).T
+    rhs = trace_inner(stack, np.stack(qs))
+
+    def witness(k: int) -> dict:
+        rid, p = divmod(k, len(pairs))
+        return {"kind": "marginal_sum", "state": rid, "s": list(pairs[p][0]), "y": list(pairs[p][1])}
+
+    tracker.add_array(np.abs(lhs - rhs), witness)
     return _report(
         "marginals",
         tracker,
         tol,
-        {"orbit_size": len(orbit), "operator_residual": op_worst},
+        {"orbit_size": len(orbit), "operator_residual": op_worst, **counts},
     )
 
 
@@ -425,6 +491,7 @@ def check_disjointness(
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
     marginals_report: PropertyReport | None = None,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Conditioning on a wrong outcome tuple must annihilate: Tr(Q_[N]^x R_S^y rho R_S^y†) = 0.
 
@@ -432,27 +499,17 @@ def check_disjointness(
     mismatched pairs (x, y).
     """
     _check_prereq(marginals_report, "disjointness")
-    cache = _FamilyCache(family)
-    full = family.indices
-    tracker = _WorstTracker(tol)
-    outs = list(family.outcome_tuples(full))
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    full, outs = family.indices, engine.outs
+    tracker = WorstTracker(tol)
     for s in _subsets(full):
         if not s:
             continue
-        rest = tuple(i for i in full if i not in s)
-        orbit = orbit_states(family, rest, f, prob_tol, dedup_tol, max_branches)
-        for y in family.outcome_tuples(s):
-            r = cache.root(s, y)
-            for x in outs:
-                if _restrict(x, full, s) == y:
-                    continue
-                m = r.conj().T @ cache.full_q(x) @ r
-                for rid, rho in enumerate(orbit):
-                    val = abs(trace_inner(m, rho))
-                    tracker.add(
-                        val,
-                        {"kind": "disjointness", "state": rid, "s": list(s), "y": list(y), "x": list(x)},
-                    )
+        stack = engine.orbit(tuple(i for i in full if i not in s))[0]
+        ys, match = engine.match(s)
+        yi, xi = np.nonzero(match[None, :] != np.arange(len(ys))[:, None])
+        vals = np.abs(trace_inner(engine.conj(s, yi, xi), stack))
+        tracker.add_array(vals, _pair_witness("disjointness", s, ys, yi, outs, xi, len(stack)))
     return _report("disjointness", tracker, tol)
 
 
@@ -464,58 +521,45 @@ def check_reducibility(
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
     marginals_report: PropertyReport | None = None,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Conditioning on the matching outcomes must not disturb: Tr(Q^x R_S^{x_S} rho R†) = Tr(Q^x rho).
 
     Quantified over proper subsets S and the orbit over the complement of S.
     """
     _check_prereq(marginals_report, "reducibility")
-    cache = _FamilyCache(family)
-    full = family.indices
-    tracker = _WorstTracker(tol)
-    outs = list(family.outcome_tuples(full))
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    full, outs = family.indices, engine.outs
+    tracker = WorstTracker(tol)
     for s in _subsets(full, include_full=False):
-        rest = tuple(i for i in full if i not in s)
-        orbit = orbit_states(family, rest, f, prob_tol, dedup_tol, max_branches)
-        conj_cache: dict = {}
-        for x in outs:
-            xs = _restrict(x, full, s)
-            if (s, xs, x) not in conj_cache:
-                r = cache.root(s, xs)
-                conj_cache[(s, xs, x)] = r.conj().T @ cache.full_q(x) @ r
-            m = conj_cache[(s, xs, x)]
-            q = cache.full_q(x)
-            for rid, rho in enumerate(orbit):
-                val = abs(trace_inner(m, rho) - trace_inner(q, rho))
-                tracker.add(
-                    val,
-                    {"kind": "reducibility", "state": rid, "s": list(s), "x": list(x)},
-                )
+        stack = engine.orbit(tuple(i for i in full if i not in s))[0]
+        matched = engine.conj(s, engine.match(s)[1], np.arange(len(outs)))
+        vals = np.abs(trace_inner(matched, stack) - trace_inner(engine.q_full, stack))
+        n = len(stack)
+        tracker.add_array(
+            vals,
+            lambda k: {"kind": "reducibility", "state": k % n, "s": list(s), "x": list(outs[k // n])},
+        )
     return _report("reducibility", tracker, tol)
 
 
 def check_on_state_projector(
-    family: MeasurementFamily, f: StateFamily, tol: float = CHECK_TOL
+    family: MeasurementFamily,
+    f: StateFamily,
+    tol: float = CHECK_TOL,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Tr(R_S^y† Q_[N]^x R_S^y psi) = delta_{y, x_S} Tr(Q_[N]^x psi) for psi in F."""
-    cache = _FamilyCache(family)
-    full = family.indices
-    tracker = _WorstTracker(tol)
-    outs = list(family.outcome_tuples(full))
+    engine = _orbits or _OrbitEngine(family, f)
+    full, outs, states = family.indices, engine.outs, engine.f_stack
+    tracker = WorstTracker(tol)
+    w = trace_inner(engine.q_full, states)
     for s in _subsets(full):
-        for y in family.outcome_tuples(s):
-            r = cache.root(s, y)
-            for x in outs:
-                m = r.conj().T @ cache.full_q(x) @ r
-                match = _restrict(x, full, s) == y
-                q = cache.full_q(x)
-                for sid, psi in enumerate(f.states):
-                    lhs = trace_inner(m, psi)
-                    rhs = trace_inner(q, psi) if match else 0.0
-                    tracker.add(
-                        abs(lhs - rhs),
-                        {"kind": "on_state_projector", "state": sid, "s": list(s), "y": list(y), "x": list(x)},
-                    )
+        ys, match = engine.match(s)
+        yi, xi = np.divmod(np.arange(len(ys) * len(outs)), len(outs))
+        hit = (match[xi] == yi)[:, None]
+        vals = np.abs(trace_inner(engine.conj(s, yi, xi), states) - np.where(hit, w[xi], 0.0))
+        tracker.add_array(vals, _pair_witness("on_state_projector", s, ys, yi, outs, xi, len(states)))
     return _report("on_state_projector", tracker, tol)
 
 
@@ -535,7 +579,7 @@ def check_sequential_independence(
     _check_prereq(marginals_report, "sequential_independence")
     cache = _FamilyCache(family)
     full = family.indices
-    tracker = _WorstTracker(tol)
+    tracker = WorstTracker(tol)
     branches = 0
 
     def sequenced_value(blocks, ys, psi) -> float:
@@ -596,18 +640,14 @@ def theorem1_check(
     contradicts a proven implication, so it is flagged as a library bug.  If a
     premise fails the implication is vacuous and recorded as not applicable.
     Reports already computed for this family/state pair can be supplied via
-    ``precomputed`` to avoid repeating work.
+    ``precomputed``; the missing premises run together through
+    :func:`run_property_checks`, so they share one orbit engine.
     """
-    pre = precomputed or {}
-    marg = pre.get("marginals") or check_marginals(
-        family, f, tol, prob_tol, dedup_tol, max_branches
-    )
-    disj = pre.get("disjointness") or check_disjointness(
-        family, f, tol, prob_tol, dedup_tol, max_branches
-    )
-    red = pre.get("reducibility") or check_reducibility(
-        family, f, tol, prob_tol, dedup_tol, max_branches
-    )
+    pre = dict(precomputed or {})
+    missing = tuple(name for name in PROPERTY_NAMES[1:4] if pre.get(name) is None)
+    if missing:
+        pre.update(run_property_checks(family, f, missing, tol, prob_tol, dedup_tol, max_branches))
+    marg, disj, red = (pre[name] for name in PROPERTY_NAMES[1:4])
     premises = {"marginals": marg, "disjointness": disj, "reducibility": red}
     details = {name: rep.passed for name, rep in premises.items()}
     if all(rep.passed for rep in premises.values()):
@@ -717,22 +757,24 @@ def run_property_checks(
     """
     out: dict[str, PropertyReport] = {}
     marg: PropertyReport | None = None
+    engine = _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    orbit_args = (tol, prob_tol, dedup_tol, max_branches)
     for name in PROPERTY_NAMES:
         if name not in properties:
             continue
         if name == "functional_axioms":
-            out[name] = check_functional_axioms(family, f, tol)
+            out[name] = check_functional_axioms(family, f, tol, _orbits=engine)
         elif name == "marginals":
-            marg = check_marginals(family, f, tol, prob_tol, dedup_tol, max_branches)
+            marg = check_marginals(family, f, *orbit_args, _orbits=engine)
             out[name] = marg
         elif name == "disjointness":
-            out[name] = check_disjointness(family, f, tol, prob_tol, dedup_tol, max_branches)
+            out[name] = check_disjointness(family, f, *orbit_args, _orbits=engine)
         elif name == "reducibility":
-            out[name] = check_reducibility(family, f, tol, prob_tol, dedup_tol, max_branches)
+            out[name] = check_reducibility(family, f, *orbit_args, _orbits=engine)
         elif name == "sequential_independence":
             out[name] = check_sequential_independence(family, f, tol, max_branches)
         elif name == "on_state_projector":
-            out[name] = check_on_state_projector(family, f, tol)
+            out[name] = check_on_state_projector(family, f, tol, _orbits=engine)
         if marg is not None and name in ("disjointness", "reducibility", "sequential_independence"):
             out[name].details["marginals_passed"] = marg.passed
     return out

@@ -207,10 +207,19 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr(a @ b) without forming the product matrix."""
-    check_same_dim(a, b)
-    return float(np.sum(a.T * b).real)
+def trace_inner(a: np.ndarray, b: np.ndarray):
+    """Re Tr(a @ b) without forming the product matrix.
+
+    Either argument may be a ``(..., d, d)`` stack: the result then holds
+    Re Tr(a[i] @ b[j]) for every pair, shaped ``a.shape[:-2] + b.shape[:-2]``,
+    from one matrix product.  Two matrices give a float.
+    """
+    if a.shape[-2:] != b.shape[-2:]:
+        raise DimensionMismatch(f"operator shapes {a.shape} and {b.shape} differ")
+    d2 = a.shape[-1] * a.shape[-2]
+    flat = np.swapaxes(a, -1, -2).reshape(-1, d2) @ b.reshape(-1, d2).T
+    out = flat.real.reshape(a.shape[:-2] + b.shape[:-2])
+    return float(out) if out.ndim == 0 else out
 
 
 def kron_delta(x, y) -> int:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CombinatorialLimitExceeded, DimensionMismatch, NotProjective
 from .linalg import MAX_N, as_matrix, as_vector, check_same_dim, pure_state_vector
 from .measurement import MeasurementFamily
+from .reporting import WorstTracker
 
 __all__ = [
     "PermutatorReport",
@@ -33,9 +34,6 @@ __all__ = [
     "is_t_permutable",
     "complemented_t_permutable",
 ]
-
-WITNESS_CAP = 20
-
 
 @dataclass
 class PermutatorReport:
@@ -124,35 +122,6 @@ def _state_list(f) -> list[np.ndarray]:
     return [as_matrix(s) for s in states]
 
 
-class _WorstTracker:
-    """Accumulates the worst residual plus a capped, canonically ordered witness list."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.worst = 0.0
-        self.worst_witness: dict | None = None
-        self.witnesses: list[dict] = []
-        self.failures = 0
-
-    def add(self, residual: float, witness: dict) -> None:
-        if residual > self.worst:
-            self.worst = residual
-            self.worst_witness = witness
-        if residual > self.tol:
-            self.failures += 1
-            if len(self.witnesses) < WITNESS_CAP:
-                self.witnesses.append({**witness, "residual": residual})
-
-    def final_witnesses(self) -> list[dict]:
-        out = list(self.witnesses)
-        if self.worst_witness is not None and self.worst > self.tol:
-            tagged = {**self.worst_witness, "residual": self.worst}
-            if tagged not in out:
-                out.append(tagged)
-        out.sort(key=lambda w: -w["residual"])
-        return out[:WITNESS_CAP]
-
-
 def is_fully_permutable(family: MeasurementFamily, f, tol: float) -> PermutatorReport:
     """Scan trace permutators over one square root per measurement.
 
@@ -163,7 +132,7 @@ def is_fully_permutable(family: MeasurementFamily, f, tol: float) -> PermutatorR
     if family.n > MAX_N:
         raise CombinatorialLimitExceeded(f"N={family.n} exceeds cap {MAX_N}")
     states = _state_list(f)
-    tracker = _WorstTracker(tol)
+    tracker = WorstTracker(tol)
     per_state = []
     full = family.indices
     sigmas = list(itertools.permutations(range(1, family.n + 1)))
@@ -218,7 +187,7 @@ def _subset_scan(
     if not 1 <= t <= family.n:
         raise ValueError(f"t={t} outside 1..{family.n}")
     vector_mode = not force_trace and _vector_mode_applicable(family, states)
-    tracker = _WorstTracker(tol)
+    tracker = WorstTracker(tol)
     per_state = []
     sigmas = list(itertools.permutations(range(1, t + 1)))
     worst_vec = 0.0

@@ -113,6 +113,23 @@ def test_check_commuting_family_passes(commuting_family_file, capsys):
     assert "equivalence agrees: True" in out
 
 
+def test_check_json_is_deterministic_with_work_counts(appendix_file, capsys):
+    """Two runs of ``check --json`` print byte-identical payloads outside the
+    manifest, and the marginals report counts its orbit's work."""
+    results = []
+    for _ in range(2):
+        assert main(["check", "--input", appendix_file, "--tol", "1e-6", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        del payload["manifest"]
+        results.append(canonical_dumps(payload))
+    assert results[0] == results[1]
+    details = json.loads(results[0])["result"]["reports"]["marginals"]["details"]
+    assert details["orbit_size"] == (
+        1 + details["branches"] - details["dead_branches"] - details["dedup_merges"]
+    )
+    assert details["dead_branches"] > 0 and details["dedup_merges"] > 0
+
+
 def test_check_appendix_instance_fails_with_witness(appendix_file, capsys):
     code = main(["check", "--input", appendix_file, "--tol", "1e-6", "--json"])
     assert code == 2

@@ -5,12 +5,12 @@ import qjoint as q
 from qjoint import errors
 from qjoint.linalg import pure_density, pure_state_vector
 from qjoint.permutation import (
-    WITNESS_CAP,
     check_permutation,
     pairwise_commutation_defects,
     permutator_trace,
     vector_permutation_defect,
 )
+from qjoint.reporting import WITNESS_CAP
 from conftest import make_coin_family, make_commuting_family, make_noncommuting_family
 
 ZERO = np.array([1.0, 0.0], dtype=complex)
