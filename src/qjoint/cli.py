@@ -11,6 +11,7 @@ canonical, with timing isolated in the manifest.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -25,6 +26,7 @@ from .counterexample import (
 )
 from .distribution import (
     PROPERTY_NAMES,
+    _OrbitEngine,
     run_property_checks,
     theorem1_check,
     theorem2_verdict,
@@ -151,15 +153,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     family, states = wire_to_check_inputs(
         load_json_file(args.input), tol=max(args.tol, GOLDEN_CONSTRAINT_TOL)
     )
-    reports = run_property_checks(family, states, properties=props, tol=args.tol)
+    engine = _OrbitEngine(family, states)  # one engine for the checks and both theorems
+    reports = run_property_checks(family, states, properties=props, tol=args.tol, _orbits=engine)
     result: dict = {
         "reports": {name: report_to_wire(reports[name]) for name in reports},
     }
     if {"marginals", "disjointness", "reducibility"} <= set(props):
-        thm1 = theorem1_check(family, states, tol=args.tol, precomputed=reports)
+        thm1 = theorem1_check(family, states, tol=args.tol, precomputed=reports, _orbits=engine)
         result["theorem1"] = report_to_wire(thm1)
     if set(PROPERTY_NAMES[1:]) <= set(props):
-        verdict = theorem2_verdict(family, states, tol=args.tol, precomputed=reports)
+        verdict = theorem2_verdict(family, states, tol=args.tol, precomputed=reports, _orbits=engine)
         result["theorem2"] = {
             "joint_distribution_exists": verdict["joint_distribution_exists"],
             "fully_permutable": verdict["fully_permutable"],
@@ -348,9 +351,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

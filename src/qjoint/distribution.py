@@ -11,8 +11,9 @@ states reachable from the state family by sequences of measurements over
 subsets of a given index set, with zero-probability branches skipped and
 near-duplicate states (trace distance below tolerance) merged.  The checks of
 one :func:`run_property_checks` call share one orbit engine: each orbit is
-enumerated once, and each check is a few batched contractions of operator
-stacks against orbit (or state) stacks.
+enumerated once, each check is a few batched contractions of operator
+stacks against orbit (or state) stacks, and the sequenced checks read the
+traces of the engine's memoized branches.
 """
 
 from __future__ import annotations
@@ -232,6 +233,7 @@ class _OrbitEngine:
     One engine serves every check of a :func:`run_property_checks` call.  A
     branch's unnormalized ``R rho R†`` extends its prefix's product, each
     orbit is enumerated once per index set, and ``Q_[N]^x`` is stacked once.
+    The sequenced checks read their branch traces from the same memo.
     """
 
     def __init__(self, family, f, prob_tol=TAU_PROB, dedup_tol=CHECK_TOL, max_branches=MAX_BRANCHES):
@@ -264,16 +266,22 @@ class _OrbitEngine:
         roots = np.stack([self.cache.root(s, y) for y in self.match(s)[0]])[yi]
         return np.swapaxes(roots.conj(), 1, 2) @ self.q_full[xi] @ roots
 
-    def _branch(self, blocks, ys, sid) -> np.ndarray | None:
-        """One branch's unnormalized R rho R†, or None once its probability is dead."""
+    def sequenced(self, blocks, ys, sid: int) -> float:
+        """Tr(R_{b_k}…R_{b_1} rho R_{b_1}†…R_{b_k}†) for state ``sid``, the block
+        ``blocks[0]`` (outcomes ``ys[0]``) applied first; 0.0 once the branch is dead."""
+        return self._branch(blocks, ys, sid)[1]
+
+    def _branch(self, blocks, ys, sid) -> tuple[np.ndarray | None, float]:
+        """One branch's unnormalized R rho R† and its trace, or (None, 0.0) once dead."""
         key = (blocks, ys, sid)
         if key not in self._branches:
-            rho = self.f.states[sid] if len(blocks) == 1 else self._branch(blocks[:-1], ys[:-1], sid)
+            rho = self.f.states[sid] if len(blocks) == 1 else self._branch(blocks[:-1], ys[:-1], sid)[0]
+            p = 0.0
             if rho is not None:
                 r = self.cache.root(blocks[-1], ys[-1])
                 rho = r @ rho @ r.conj().T
-                rho = rho if float(np.trace(rho).real) > self.prob_tol else None
-            self._branches[key] = rho
+                p = float(np.trace(rho).real)
+            self._branches[key] = (rho, p) if p > self.prob_tol else (None, 0.0)
         return self._branches[key]
 
     def _enumerate(self, u: tuple[int, ...]) -> tuple[np.ndarray, dict]:
@@ -314,11 +322,11 @@ class _OrbitEngine:
                                 raise CombinatorialLimitExceeded(
                                     f"orbit enumeration exceeded {self.max_branches} branches"
                                 )
-                            rho = self._branch(blocks, ys, sid)
+                            rho, p = self._branch(blocks, ys, sid)
                             if rho is None:
                                 counts["dead_branches"] += 1
                             else:
-                                rho = rho / float(np.trace(rho).real)
+                                rho = rho / p
                                 keep((rho + rho.conj().T) / 2.0)
         return buf[:kept].copy(), counts
 
@@ -569,59 +577,43 @@ def check_sequential_independence(
     tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
     marginals_report: PropertyReport | None = None,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Block-sequenced probabilities must not depend on the block ordering.
 
     For every state in F, every subset T, every partition of T into blocks and
     every permutation of the blocks, the two nested-trace expressions (raw
     sequence probabilities, no renormalization) must agree within tolerance.
+    Each value is the trace of the engine's memoized branch; a dead branch
+    (trace at or below ``prob_tol``) counts as 0.
     """
     _check_prereq(marginals_report, "sequential_independence")
-    cache = _FamilyCache(family)
-    full = family.indices
+    engine = _orbits or _OrbitEngine(family, f)
     tracker = WorstTracker(tol)
-    branches = 0
-
-    def sequenced_value(blocks, ys, psi) -> float:
-        cur = psi
-        for b, y in zip(blocks[:-1], ys[:-1]):
-            r = cache.root(b, y)
-            cur = r @ cur @ r.conj().T
-        return trace_inner(cache.q(blocks[-1], ys[-1]), cur)
-
-    for sid, psi in enumerate(f.states):
-        for size in range(1, family.n + 1):
-            for t_set in itertools.combinations(full, size):
-                for blocks in _canonical_partitions(t_set):
-                    s_count = len(blocks)
-                    sigmas = list(itertools.permutations(range(s_count)))
-                    for x_t in family.outcome_tuples(t_set):
-                        xmap = dict(zip(t_set, x_t))
-                        ys = tuple(tuple(xmap[i] for i in b) for b in blocks)
-                        branches += len(sigmas)
-                        if branches > max_branches:
-                            raise CombinatorialLimitExceeded(
-                                f"sequential independence enumeration exceeded {max_branches}"
-                            )
-                        values = {}
-                        for order in sigmas:
-                            pb = tuple(blocks[k] for k in order)
-                            py = tuple(ys[k] for k in order)
-                            values[order] = sequenced_value(pb, py, psi)
-                        ident = values[tuple(range(s_count))]
-                        for order in sigmas:
-                            d = abs(ident - values[order])
-                            tracker.add(
-                                d,
-                                {
-                                    "kind": "sequential_independence",
-                                    "state": sid,
-                                    "t": list(t_set),
-                                    "blocks": [list(b) for b in blocks],
-                                    "sigma": [k + 1 for k in order],
-                                    "x_t": list(x_t),
-                                },
-                            )
+    # One entry per canonical partition of each T: for every x_T (row) and
+    # block ordering (column), the branch key (ordered blocks, their outcomes).
+    parts, branches = [], 0
+    for size in range(1, family.n + 1):
+        for t_set in itertools.combinations(family.indices, size):
+            x_ts = list(family.outcome_tuples(t_set))
+            for blocks in _canonical_partitions(t_set):
+                orders = list(itertools.permutations(range(len(blocks))))
+                branches += len(orders) * len(x_ts) * len(f.states)
+                if branches > max_branches:
+                    raise CombinatorialLimitExceeded(f"sequential independence enumeration exceeded {max_branches}")
+                keys = []
+                for x_t in x_ts:
+                    ys = tuple(tuple(x_t[t_set.index(i)] for i in b) for b in blocks)
+                    keys.append([(tuple(blocks[k] for k in o), tuple(ys[k] for k in o)) for o in orders])
+                parts.append((t_set, blocks, x_ts, orders, keys))
+    for sid in range(len(f.states)):
+        for t_set, blocks, x_ts, orders, keys in parts:
+            vals = np.array([[engine.sequenced(pb, py, sid) for pb, py in row] for row in keys])
+            tracker.add_array(np.abs(vals - vals[:, :1]), lambda k: {
+                "kind": "sequential_independence", "state": sid, "t": list(t_set),
+                "blocks": [list(b) for b in blocks], "sigma": [j + 1 for j in orders[k % len(orders)]],
+                "x_t": list(x_ts[k // len(orders)]),
+            })
     return _report("sequential_independence", tracker, tol)
 
 
@@ -633,6 +625,7 @@ def theorem1_check(
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
     precomputed: dict[str, PropertyReport] | None = None,
+    _orbits: _OrbitEngine | None = None,
 ) -> PropertyReport:
     """Marginals + disjointness + reducibility must imply sequential independence.
 
@@ -640,19 +633,20 @@ def theorem1_check(
     contradicts a proven implication, so it is flagged as a library bug.  If a
     premise fails the implication is vacuous and recorded as not applicable.
     Reports already computed for this family/state pair can be supplied via
-    ``precomputed``; the missing premises run together through
-    :func:`run_property_checks`, so they share one orbit engine.
+    ``precomputed``; the missing premises and sequential independence share
+    one orbit engine (``_orbits``, when one built for the same arguments is given).
     """
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
     pre = dict(precomputed or {})
     missing = tuple(name for name in PROPERTY_NAMES[1:4] if pre.get(name) is None)
     if missing:
-        pre.update(run_property_checks(family, f, missing, tol, prob_tol, dedup_tol, max_branches))
+        pre.update(run_property_checks(family, f, missing, tol, prob_tol, dedup_tol, max_branches, _orbits=engine))
     marg, disj, red = (pre[name] for name in PROPERTY_NAMES[1:4])
     premises = {"marginals": marg, "disjointness": disj, "reducibility": red}
     details = {name: rep.passed for name, rep in premises.items()}
     if all(rep.passed for rep in premises.values()):
         seq = pre.get("sequential_independence") or check_sequential_independence(
-            family, f, tol, max_branches
+            family, f, tol, max_branches, _orbits=engine
         )
         details["status"] = "applicable"
         details["contradiction"] = not seq.passed
@@ -703,13 +697,16 @@ def theorem2_verdict(
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
     precomputed: dict[str, PropertyReport] | None = None,
+    _orbits: _OrbitEngine | None = None,
 ) -> dict:
     """Both sides of the joint-distribution equivalence, evaluated numerically.
 
     Side A: all four distribution properties hold on F (plus the functional
     axioms).  Side B: the square roots are fully permutable on F and satisfy
-    the on-state projector condition.  The two verdicts must agree.
+    the on-state projector condition.  The two verdicts must agree.  Both
+    sides read one orbit engine (``_orbits``, if built for the same arguments).
     """
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
     required = PROPERTY_NAMES[1:]
     if precomputed is not None and all(name in precomputed for name in required):
         reports = precomputed
@@ -721,12 +718,13 @@ def theorem2_verdict(
             prob_tol=prob_tol,
             dedup_tol=dedup_tol,
             max_branches=max_branches,
+            _orbits=engine,
         )
     def3 = all(
         reports[name].passed
         for name in ("marginals", "disjointness", "reducibility", "sequential_independence")
     )
-    perm = is_fully_permutable(family, f.states, tol)
+    perm = is_fully_permutable(family, f, tol, _orbits=engine)
     onstate = reports["on_state_projector"]
     side_b = perm.passed and onstate.passed
     return {
@@ -748,16 +746,18 @@ def run_property_checks(
     prob_tol: float = TAU_PROB,
     dedup_tol: float = CHECK_TOL,
     max_branches: int = MAX_BRANCHES,
+    _orbits: _OrbitEngine | None = None,
 ) -> dict[str, PropertyReport]:
     """Run the selected checks in dependency order, never raising on failures.
 
     Dependent checks still execute when marginals fails (their witnesses are
     the interesting output); the marginals verdict is recorded in each
-    dependent report's details instead.
+    dependent report's details instead.  The checks share one orbit engine:
+    ``_orbits`` if given (built for the same arguments), else a new one.
     """
     out: dict[str, PropertyReport] = {}
     marg: PropertyReport | None = None
-    engine = _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
+    engine = _orbits or _OrbitEngine(family, f, prob_tol, dedup_tol, max_branches)
     orbit_args = (tol, prob_tol, dedup_tol, max_branches)
     for name in PROPERTY_NAMES:
         if name not in properties:
@@ -772,7 +772,7 @@ def run_property_checks(
         elif name == "reducibility":
             out[name] = check_reducibility(family, f, *orbit_args, _orbits=engine)
         elif name == "sequential_independence":
-            out[name] = check_sequential_independence(family, f, tol, max_branches)
+            out[name] = check_sequential_independence(family, f, tol, max_branches, _orbits=engine)
         elif name == "on_state_projector":
             out[name] = check_on_state_projector(family, f, tol, _orbits=engine)
         if marg is not None and name in ("disjointness", "reducibility", "sequential_independence"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class PermutatorReport:
     s: int
     worst_trace_defect: float
     worst_vector_defect: float
-    witness_permutation: tuple[int, ...] | None
+    witness_permutation: tuple[int, ...] | None  # sigma of the worst residual; None unless it fails
     per_state: list[tuple[int, float]]
     passed: bool
     tol: float
@@ -57,14 +58,6 @@ def check_permutation(sigma, s: int) -> tuple[int, ...]:
     return sigma
 
 
-def _product_for_order(ops: list[np.ndarray], order) -> np.ndarray:
-    """R_{order[-1]} @ ... @ R_{order[0]} — ops applied in listed order (0-based)."""
-    out = None
-    for k in order:
-        out = ops[k] if out is None else ops[k] @ out
-    return out
-
-
 def _apply_in_order(ops: list[np.ndarray], phi: np.ndarray, order) -> np.ndarray:
     out = phi
     for k in order:
@@ -73,7 +66,8 @@ def _apply_in_order(ops: list[np.ndarray], phi: np.ndarray, order) -> np.ndarray
 
 
 def _sequenced_trace(ops: list[np.ndarray], psi: np.ndarray, order) -> float:
-    m = _product_for_order(ops, order)
+    """Tr(M psi M†) for M = R_{order[-1]} ... R_{order[0]}: ops applied in listed order (0-based)."""
+    m = _apply_in_order(ops, np.eye(psi.shape[0]), order)
     return float(np.trace(m @ psi @ m.conj().T).real)
 
 
@@ -122,49 +116,55 @@ def _state_list(f) -> list[np.ndarray]:
     return [as_matrix(s) for s in states]
 
 
-def is_fully_permutable(family: MeasurementFamily, f, tol: float) -> PermutatorReport:
+def is_fully_permutable(family: MeasurementFamily, f, tol: float, _orbits=None) -> PermutatorReport:
     """Scan trace permutators over one square root per measurement.
 
     For every state, every choice of one outcome per measurement and every
     permutation of the resulting N-tuple of square roots, the trace permutator
-    must vanish within ``tol``.
+    must vanish within ``tol``.  Each sequenced trace is read from an orbit
+    engine over the same family and states (``_orbits``, else a new one), in
+    which a dead branch counts as 0.  ``witness_permutation`` is None on a pass.
     """
     if family.n > MAX_N:
         raise CombinatorialLimitExceeded(f"N={family.n} exceeds cap {MAX_N}")
-    states = _state_list(f)
+    if _orbits is None:
+        from .distribution import _OrbitEngine  # deferred: distribution imports this module
+
+        _orbits = _OrbitEngine(family, SimpleNamespace(states=_state_list(f)))
     tracker = WorstTracker(tol)
     per_state = []
     full = family.indices
-    sigmas = list(itertools.permutations(range(1, family.n + 1)))
-    for sid, psi in enumerate(states):
-        state_worst = 0.0
-        for y in family.outcome_tuples(full):
-            ops = [family.povm(i).root(x) for i, x in zip(full, y)]
-            values = {}
-            for sigma in sigmas:
-                order = tuple(k - 1 for k in sigma)
-                if order not in values:
-                    values[order] = _sequenced_trace(ops, psi, order)
-            ident = values[tuple(range(family.n))]
-            for sigma in sigmas:
-                d = abs(ident - values[tuple(k - 1 for k in sigma)])
-                state_worst = max(state_worst, d)
-                tracker.add(d, {"state": sid, "outcomes": list(y), "sigma": list(sigma)})
-        per_state.append((sid, state_worst))
-    worst_sigma = None
-    if tracker.worst_witness is not None:
-        worst_sigma = tuple(tracker.worst_witness["sigma"])
+    orders = list(itertools.permutations(range(family.n)))
+    outs = list(family.outcome_tuples(full))
+    keys = [[(tuple((full[k],) for k in o), tuple((y[k],) for k in o)) for o in orders] for y in outs]
+    for sid in range(len(getattr(f, "states", f))):
+        vals = np.array([[_orbits.sequenced(b, ys, sid) for b, ys in row] for row in keys])
+        residuals = np.abs(vals - vals[:, :1])
+        tracker.add_array(
+            residuals,
+            lambda k: {
+                "state": sid,
+                "outcomes": list(outs[k // len(orders)]),
+                "sigma": [j + 1 for j in orders[k % len(orders)]],
+            },
+        )
+        per_state.append((sid, float(residuals.max())))
     return PermutatorReport(
         s=family.n,
         worst_trace_defect=tracker.worst,
         worst_vector_defect=0.0,
-        witness_permutation=worst_sigma,
+        witness_permutation=_failing_sigma(tracker),
         per_state=per_state,
         passed=tracker.worst <= tol,
         tol=tol,
         witnesses=tracker.final_witnesses(),
         mode="trace",
     )
+
+
+def _failing_sigma(tracker: WorstTracker) -> tuple[int, ...] | None:
+    """The sigma of the worst residual when it fails; below tolerance it is noise."""
+    return tuple(tracker.worst_witness["sigma"]) if tracker.worst > tracker.tol else None
 
 
 def _vector_mode_applicable(family: MeasurementFamily, states: list[np.ndarray]) -> bool:
@@ -221,14 +221,9 @@ def _subset_scan(
             else:
                 for y in family.outcome_tuples(subset):
                     ops = [family.povm(i).root(x) for i, x in zip(subset, y)]
-                    values = {}
-                    for sigma in sigmas:
-                        order = tuple(k - 1 for k in sigma)
-                        if order not in values:
-                            values[order] = _sequenced_trace(ops, psi, order)
-                    ident = values[tuple(range(t))]
-                    for sigma in sigmas:
-                        d = abs(ident - values[tuple(k - 1 for k in sigma)])
+                    values = [_sequenced_trace(ops, psi, [k - 1 for k in sigma]) for sigma in sigmas]
+                    for sigma, value in zip(sigmas, values):
+                        d = abs(values[0] - value)
                         state_worst = max(state_worst, d)
                         worst_trace = max(worst_trace, d)
                         tracker.add(
@@ -241,14 +236,11 @@ def _subset_scan(
                             },
                         )
         per_state.append((sid, state_worst))
-    worst_sigma = None
-    if tracker.worst_witness is not None:
-        worst_sigma = tuple(tracker.worst_witness["sigma"])
     return PermutatorReport(
         s=t,
         worst_trace_defect=worst_trace,
         worst_vector_defect=worst_vec,
-        witness_permutation=worst_sigma,
+        witness_permutation=_failing_sigma(tracker),
         per_state=per_state,
         passed=tracker.worst <= tol,
         tol=tol,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -41,7 +42,30 @@ __all__ = [
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(_plain(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj: Any, nl: str) -> str:
+    """One recursive pass of the canonical layout; ``nl`` is the newline plus
+    the current indent.  (The stdlib's C encoder cannot indent; its pure
+    Python one, plus ``_plain``, takes 1.7 times as long on a check report.)"""
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return ("true" if obj else "false") if isinstance(obj, bool) else int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + nl + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in items])
+        return "{" + inner + body + nl + "}" if items else "{}"
+    if isinstance(obj, (np.ndarray, np.generic, float)):
+        return _render(_plain(obj), nl)  # arrays, numpy scalars, non-finite floats
+    return json.dumps(obj)  # None; anything else raises TypeError
 
 
 def _plain(obj: Any) -> Any:
@@ -55,7 +79,7 @@ def _plain(obj: Any) -> Any:
             return vector_to_wire(obj)
         return matrix_to_wire(obj)
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _plain(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj

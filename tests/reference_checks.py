@@ -3,7 +3,10 @@
 These are the straightforward implementations the package used before its
 checks became batched contractions over a shared orbit engine: one
 ``orbit_states`` enumeration per call, one scalar trace per (operator, state)
-pair, one ``add`` per residual.  Tests compare the package against them.
+pair, one ``add`` per residual.  The two sequenced checks (sequential
+independence and the full permutator scan) recompute every ordering's
+product from the state, with no dead-branch cut.  Tests compare the package
+against them.
 """
 
 import itertools
@@ -12,12 +15,14 @@ import numpy as np
 
 from qjoint.distribution import (
     PropertyReport,
+    _canonical_partitions,
     _FamilyCache,
     _ordered_partitions,
     _subsets,
 )
 from qjoint.errors import CombinatorialLimitExceeded
 from qjoint.linalg import CHECK_TOL, MAX_BRANCHES, TAU_PROB, trace_distance
+from qjoint.permutation import PermutatorReport, _sequenced_trace
 from qjoint.reporting import WITNESS_CAP, WorstTracker
 
 PREMISES = ("functional_axioms", "marginals", "disjointness", "reducibility", "on_state_projector")
@@ -245,6 +250,75 @@ def check_on_state_projector(family, f, tol=CHECK_TOL):
                         {"kind": "on_state_projector", "state": sid, "s": list(s), "y": list(y), "x": list(x)},
                     )
     return _report("on_state_projector", tracker, tol)
+
+
+def check_sequential_independence(family, f, tol=CHECK_TOL):
+    cache = _FamilyCache(family)
+    tracker = WorstTracker(tol)
+
+    def sequenced_value(blocks, ys, psi):
+        cur = psi
+        for b, y in zip(blocks[:-1], ys[:-1]):
+            r = cache.root(b, y)
+            cur = r @ cur @ r.conj().T
+        return trace_inner(cache.q(blocks[-1], ys[-1]), cur)
+
+    for sid, psi in enumerate(f.states):
+        for size in range(1, family.n + 1):
+            for t_set in itertools.combinations(family.indices, size):
+                for blocks in _canonical_partitions(t_set):
+                    sigmas = list(itertools.permutations(range(len(blocks))))
+                    for x_t in family.outcome_tuples(t_set):
+                        xmap = dict(zip(t_set, x_t))
+                        ys = tuple(tuple(xmap[i] for i in b) for b in blocks)
+                        values = {
+                            order: sequenced_value(
+                                tuple(blocks[k] for k in order), tuple(ys[k] for k in order), psi
+                            )
+                            for order in sigmas
+                        }
+                        ident = values[sigmas[0]]
+                        for order in sigmas:
+                            tracker.add(
+                                abs(ident - values[order]),
+                                {
+                                    "kind": "sequential_independence",
+                                    "state": sid,
+                                    "t": list(t_set),
+                                    "blocks": [list(b) for b in blocks],
+                                    "sigma": [k + 1 for k in order],
+                                    "x_t": list(x_t),
+                                },
+                            )
+    return _report("sequential_independence", tracker, tol)
+
+
+def is_fully_permutable(family, states, tol):
+    tracker = WorstTracker(tol)
+    per_state = []
+    full = family.indices
+    sigmas = list(itertools.permutations(range(1, family.n + 1)))
+    for sid, psi in enumerate(states):
+        state_worst = 0.0
+        for y in family.outcome_tuples(full):
+            ops = [family.povm(i).root(x) for i, x in zip(full, y)]
+            values = {sigma: _sequenced_trace(ops, psi, [k - 1 for k in sigma]) for sigma in sigmas}
+            for sigma in sigmas:
+                d = abs(values[sigmas[0]] - values[sigma])
+                state_worst = max(state_worst, d)
+                tracker.add(d, {"state": sid, "outcomes": list(y), "sigma": list(sigma)})
+        per_state.append((sid, state_worst))
+    return PermutatorReport(
+        s=family.n,
+        worst_trace_defect=tracker.worst,
+        worst_vector_defect=0.0,
+        witness_permutation=tuple(tracker.worst_witness["sigma"]) if tracker.worst > tol else None,
+        per_state=per_state,
+        passed=tracker.worst <= tol,
+        tol=tol,
+        witnesses=tracker.final_witnesses(),
+        mode="trace",
+    )
 
 
 def reference_reports(family, f, tol=CHECK_TOL, prob_tol=TAU_PROB, dedup_tol=CHECK_TOL):

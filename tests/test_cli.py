@@ -8,6 +8,7 @@ import pytest
 
 import qjoint as q
 from qjoint.cli import main
+from qjoint.distribution import _OrbitEngine
 from qjoint.serialize import canonical_dumps, instance_to_wire, matrix_to_wire, vector_to_wire
 from conftest import make_commuting_family
 
@@ -288,3 +289,61 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def _without_timing(text: str) -> dict:
+    payload = json.loads(text)
+    del payload["manifest"]["wall_time_s"]
+    return payload
+
+
+def test_successive_main_calls_share_no_state(appendix_file, projector_pair_file, tmp_path, capsys):
+    """``main`` reuses one parser across calls in a process.  A run of all five
+    commands, in-process, still prints what fresh processes print (checked for
+    ``check`` and ``verify-appendix``), every payload in the bytes of
+    ``json.dumps(indent=2, sort_keys=True)``, and a usage error still exits 1."""
+    full_check = ["check", "--input", appendix_file, "--tol", "1e-6", "--json"]
+    verify = ["verify-appendix", "--json"]
+    found = tmp_path / "found.json"
+    printed = {}
+    with subprocess.Popen(
+        [sys.executable, "-m", "qjoint.cli", *full_check], stdout=subprocess.PIPE, text=True
+    ) as fresh_check, subprocess.Popen(
+        [sys.executable, "-m", "qjoint.cli", *verify], stdout=subprocess.PIPE, text=True
+    ) as fresh_verify:
+        for argv, code in (
+            (["check", "--input", appendix_file, "--properties", "marginals", "--json"], 2),
+            (full_check, 2),
+            (["jordan", "--input", projector_pair_file, "--json"], 0),
+            (["repair", "--input", projector_pair_file, "--json"], 0),
+            (["search", "--dim", "4", "--seed", "2", "--restarts", "1", "--output", str(found), "--json"], 0),
+            (verify, 0),
+        ):
+            assert main(argv) == code, argv
+            text = capsys.readouterr().out
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", argv
+            printed[argv[0]] = text
+        assert found.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 1
+        for proc, name, code in ((fresh_check, "check", 2), (fresh_verify, "verify-appendix", 0)):
+            out, _ = proc.communicate(timeout=120)
+            assert proc.returncode == code
+            assert _without_timing(out) == _without_timing(printed[name]), name
+
+
+def test_check_builds_one_orbit_engine(appendix_file, monkeypatch, capsys):
+    """The six checks, theorem 1 and theorem 2 of one ``check`` share one engine."""
+    built = []
+    init = _OrbitEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_OrbitEngine, "__init__", counting_init)
+    assert main(["check", "--input", appendix_file, "--tol", "1e-6", "--json"]) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert {"theorem1", "theorem2"} <= set(result)
+    assert len(built) == 1

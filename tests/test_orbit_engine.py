@@ -1,10 +1,13 @@
 """The shared orbit engine and the batched checks against the loop reference.
 
 ``reference_checks`` holds the loop implementations: one orbit enumeration
-per call, one scalar trace per (operator, state) pair.  On a fixed set of
-families (the bundled instance, the coin family, and the first fifteen
-commuting and fifteen order-dependent families of the seed-7 acceptance
-sweep) every engine-backed report must match them.
+per call, one scalar trace per (operator, state) pair, every sequenced
+ordering recomputed from the state.  On a fixed set of families (the bundled
+instance, the coin family, and the first fifteen commuting and fifteen
+order-dependent families of the seed-7 acceptance sweep) every engine-backed
+report must match them.  The sequenced checks (sequential independence, the
+full permutator scan) read branch traces in which a dead branch counts as 0,
+so their residuals may differ from the reference by up to ``prob_tol``.
 """
 
 import itertools
@@ -15,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qjoint as q
+import reference_checks
 from qjoint.distribution import _OrbitEngine
-from qjoint.linalg import haar_unitary, pure_density, random_projector, random_state_vector
+from qjoint.linalg import CHECK_TOL, TAU_PROB, haar_unitary, pure_density, random_projector, random_state_vector
 from qjoint.reporting import WITNESS_CAP
 from conftest import make_coin_family, make_commuting_pvm_family
 from reference_checks import PREMISES, reference_reports
@@ -42,8 +46,11 @@ def _key(witness: dict) -> dict:
 
 
 def assert_matches_reference(family, states, **tols):
-    new = q.run_property_checks(family, states, properties=PREMISES, **tols)
+    engine = _OrbitEngine(family, states, tols.get("prob_tol", TAU_PROB))
+    new = q.run_property_checks(family, states, **tols, _orbits=engine)
     ref = reference_reports(family, states, **tols)
+    verdict = q.theorem2_verdict(family, states, **tols, precomputed=new, _orbits=engine)
+    assert_sequenced_match(family, states, new["sequential_independence"], verdict["permutator_report"], **tols)
     for name in PREMISES:
         a, b = new[name], ref[name]
         assert a.passed == b.passed, name
@@ -56,21 +63,42 @@ def assert_matches_reference(family, states, **tols):
         assert_witnesses_match(a, b)
 
 
-def assert_witnesses_match(a, b):
-    """A witness both reports list has one residual (within TIE).  A witness
-    only one lists ties within TIE with another residual (noise may pick
-    either of two tied entries), or fell off the other's full list."""
+def assert_sequenced_match(family, states, seq, perm, tol=CHECK_TOL, prob_tol=TAU_PROB):
+    """The engine-backed sequenced reports against their loop references:
+    identical verdicts, failure counts and witness keys, residuals within
+    ``max(1e-12, prob_tol)``."""
+    slack = max(TIE, prob_tol)
+    ref_seq = reference_checks.check_sequential_independence(family, states, tol)
+    ref_perm = reference_checks.is_fully_permutable(family, states.states, tol)
+    assert seq.passed == ref_seq.passed
+    assert seq.details["failure_count"] == ref_seq.details["failure_count"]
+    assert abs(seq.worst_residual - ref_seq.worst_residual) <= slack
+    assert perm.passed == ref_perm.passed
+    assert perm.witness_permutation == ref_perm.witness_permutation
+    assert abs(perm.worst_trace_defect - ref_perm.worst_trace_defect) <= slack
+    assert [s for s, _ in perm.per_state] == [s for s, _ in ref_perm.per_state]
+    assert all(abs(a - b) <= slack for (_, a), (_, b) in zip(perm.per_state, ref_perm.per_state))
+    assert_witnesses_match(seq, ref_seq, slack)
+    assert_witnesses_match(perm, ref_perm, slack)
+
+
+def assert_witnesses_match(a, b, tie=TIE):
+    """A witness both reports list has one residual (within ``tie``).  A
+    witness only one lists ties within ``tie`` with another residual (noise
+    may pick either of two tied entries), or fell off the other's full list."""
     keyed_a = {repr(_key(w)): w["residual"] for w in a.witnesses}
     keyed_b = {repr(_key(w)): w["residual"] for w in b.witnesses}
+    name = getattr(a, "property_name", "permutator")
     for key in keyed_a.keys() & keyed_b.keys():
-        assert abs(keyed_a[key] - keyed_b[key]) <= TIE, (a.property_name, key)
-    residuals = [*keyed_a.values(), *keyed_b.values(), a.worst_residual, b.worst_residual]
+        assert abs(keyed_a[key] - keyed_b[key]) <= tie, (name, key)
+    worst = [getattr(r, "worst_residual", getattr(r, "worst_trace_defect", None)) for r in (a, b)]
+    residuals = [*keyed_a.values(), *keyed_b.values(), *worst]
     for mine, other in ((keyed_a, keyed_b), (keyed_b, keyed_a)):
         for key in mine.keys() - other.keys():
             r = mine[key]
-            tied = sum(abs(r - x) <= TIE for x in residuals) >= 2
-            cut = len(other) == WITNESS_CAP and r <= min(other.values()) + TIE
-            assert tied or cut, (a.property_name, key, r)
+            tied = sum(abs(r - x) <= tie for x in residuals) >= 2
+            cut = len(other) == WITNESS_CAP and r <= min(other.values()) + tie
+            assert tied or cut, (name, key, r)
 
 
 def test_appendix_instance_matches_reference(appendix_family, appendix_states):

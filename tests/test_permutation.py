@@ -60,6 +60,7 @@ def test_commuting_family_is_fully_permutable(seed):
     assert report.passed
     assert report.worst_trace_defect < 1e-12
     assert report.witnesses == []
+    assert report.witness_permutation is None  # a sigma below tol is rounding noise
     assert len(report.per_state) == 2
 
 
@@ -96,6 +97,7 @@ def test_appendix_two_permutable_but_not_four(appendix_family, appendix_states):
     pair = q.is_t_permutable(appendix_family, appendix_states, t=2, tol=1e-6)
     assert pair.passed
     assert pair.mode == "vector"
+    assert pair.witness_permutation is None
     full = q.is_t_permutable(appendix_family, appendix_states, t=4, tol=1e-6)
     assert not full.passed
     assert full.worst_vector_defect >= 0.24

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qjoint as q
 from qjoint import errors
 from qjoint.serialize import (
+    _plain,
     canonical_dumps,
     complex_to_pair,
     instance_to_wire,
@@ -65,6 +68,41 @@ def test_canonical_dumps_handles_numpy_and_nonfinite():
     assert out["x"] is True
     assert out["y"] == "inf"
     assert out["z"] == [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+def test_canonical_dumps_numpy_nonfinite_matches_python(kind):
+    """A numpy inf/nan renders as the same string as a Python one, never as
+    a bare Infinity/NaN, which is not JSON."""
+    value = {"a": float("inf"), "b": kind("inf"), "c": kind("-inf"), "d": kind("nan")}
+    expected = {"a": "inf", "b": "inf", "c": "-inf", "d": "nan"}
+    assert _plain(value) == expected  # the wire helpers' form, which callers may json.dumps
+    text = canonical_dumps(value)
+    assert json.loads(text) == expected
+    assert "Infinity" not in text and "NaN" not in text
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e22, 1e300, 1.7976931348623157e308])
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | SPECIAL_FLOATS
+    | st.text()
+    | st.sampled_from(['"quoted" \\ back\\slash', "tab\tnew\nline\x00", "é ü 中文 \U0001f600", ""])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_canonical_dumps_matches_stdlib_rendering(value):
+    assert canonical_dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_instance_wire_roundtrip(appendix):
